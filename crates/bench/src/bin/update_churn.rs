@@ -1,9 +1,10 @@
 //! Update churn: per-tuple delta maintenance vs full rebuild.
 //!
 //! The write path (DESIGN.md §9) localises a single-tuple INSERT/DELETE
-//! to the spine touched by the tuple: one COW clone of the arena (flat
-//! `Vec` memcpy) plus an `O(depth · log fanout)` spine rewrite sharing
-//! every untouched fragment by id. The alternative a system without
+//! to the spine touched by the tuple: one copy-on-write copy of the
+//! shared arena at the first edit (flat `Vec` memcpy) plus an
+//! `O(depth · log fanout)` spine rewrite sharing every untouched
+//! fragment by id. The alternative a system without
 //! delta maintenance faces is a **full rebuild**: re-factorise the flat
 //! relation from scratch on every write.
 //!

@@ -400,7 +400,8 @@ impl FdbResult {
         }
         let _ = writeln!(
             out,
-            "execution: intermediate bytes allocated {}, fragment copies avoided {}{}",
+            "execution: input bytes copied {}, intermediate bytes allocated {}, fragment copies avoided {}{}",
+            self.exec_stats.input_copy_bytes,
             self.exec_stats.intermediate_bytes,
             self.exec_stats.copies_avoided,
             if self.exec_stats.compacted {
@@ -919,8 +920,13 @@ impl FdbEngine {
         let threads = fdb_exec::effective_threads(opts.threads);
         let deadline_at = opts.deadline.map(|d| Instant::now() + d);
         check_deadline(deadline_at, "input assembly")?;
-        let (rep, stats, mut selections, natural_attrs) =
-            self.build_input(&task.inputs, threads)?;
+        let Input {
+            rep,
+            stats,
+            mut selections,
+            natural: natural_attrs,
+            copy_bytes: input_copy_bytes,
+        } = self.build_input(&task.inputs, threads)?;
         check_deadline(deadline_at, "planning")?;
 
         let mut const_preds = Vec::new();
@@ -1250,6 +1256,7 @@ impl FdbEngine {
         } = cand;
         check_deadline(deadline_at, "plan execution")?;
         let (mut result_rep, mut exec_stats) = opts.executor.run_plan(&plan, rep, threads)?;
+        exec_stats.input_copy_bytes += input_copy_bytes;
         check_deadline(deadline_at, "plan execution")?;
 
         // HAVING: push what we can into the factorisation as selections;
@@ -1282,6 +1289,7 @@ impl FdbEngine {
             exec_stats.intermediate_bytes += hstats.intermediate_bytes;
             exec_stats.copies_avoided += hstats.copies_avoided;
             exec_stats.compacted |= hstats.compacted;
+            exec_stats.input_copy_bytes += hstats.input_copy_bytes;
         }
 
         let output_attrs: Vec<AttrId> = if is_aggregate {
@@ -1434,23 +1442,24 @@ impl FdbEngine {
     }
 
     /// Assembles the input factorisation for the task's `FROM` list:
-    /// registered views are cloned, flat relations are factorised as
-    /// sorted tries (join attributes towards the root); name collisions
-    /// across inputs are shadowed and returned as pending equality
-    /// selections (the natural-join conditions).
-    #[allow(clippy::type_complexity)]
-    fn build_input(
-        &mut self,
-        inputs: &[String],
-        threads: usize,
-    ) -> Result<(FRep, Stats, Vec<(AttrId, AttrId)>, Vec<AttrId>)> {
+    /// registered views are shared (an O(1) handle, see [`FRep`]'s cost
+    /// model), flat relations are factorised as sorted tries (join
+    /// attributes towards the root); name collisions across inputs are
+    /// shadowed and returned as pending equality selections (the
+    /// natural-join conditions).
+    fn build_input(&mut self, inputs: &[String], threads: usize) -> Result<Input> {
         if inputs.is_empty() {
             return Err(FdbError::Unresolved("query has no inputs".into()));
         }
         if inputs.len() == 1 {
             if let Some((rep, stats)) = self.views.get(&inputs[0]) {
-                let natural = rep.ftree().all_attrs();
-                return Ok((FRep::clone(rep), stats.clone(), Vec::new(), natural));
+                return Ok(Input {
+                    natural: rep.ftree().all_attrs(),
+                    rep: FRep::clone(rep),
+                    stats: stats.clone(),
+                    selections: Vec::new(),
+                    copy_bytes: 0,
+                });
             }
         }
         // Shared attributes across the original input schemas determine
@@ -1479,8 +1488,13 @@ impl FdbEngine {
         let mut selections: Vec<(AttrId, AttrId)> = Vec::new();
         let mut seen: Vec<AttrId> = Vec::new();
         let mut natural: Vec<AttrId> = Vec::new();
+        let mut copy_bytes = 0;
         for (i, name) in inputs.iter().enumerate() {
             let mut rep = if let Some((rep, _)) = self.views.get(name) {
+                // A view reaches this loop only as one of several
+                // inputs: the product below takes ownership of its
+                // shared arena, copying it once.
+                copy_bytes += rep.data_bytes();
                 FRep::clone(rep)
             } else {
                 let rel: &Relation = &self.relations[name];
@@ -1517,13 +1531,27 @@ impl FdbEngine {
                 Some(acc) => crate::ops::product(acc, rep),
             });
         }
-        Ok((
-            combined.expect("at least one input"),
+        Ok(Input {
+            rep: combined.expect("at least one input"),
             stats,
             selections,
             natural,
-        ))
+            copy_bytes,
+        })
     }
+}
+
+/// The assembled input of one query (see `FdbEngine::build_input`).
+struct Input {
+    rep: FRep,
+    stats: Stats,
+    /// Equality selections of shadowed name collisions (natural joins).
+    selections: Vec<(AttrId, AttrId)>,
+    /// The natural-join output attributes: each name's first occurrence.
+    natural: Vec<AttrId>,
+    /// Bytes copied to take ownership of shared view arenas while
+    /// assembling a multi-input product.
+    copy_bytes: usize,
 }
 
 #[cfg(test)]

@@ -892,21 +892,47 @@ pub struct FRepStats {
 
 /// A factorised representation: an f-tree plus one arena-stored union
 /// per root.
+///
+/// ## Cost model: copy-on-write storage
+///
+/// The arena sits behind an `Arc`, so [`Clone`] is O(#roots + f-tree
+/// size) — a reference-count bump plus the small f-tree and root list —
+/// never a copy of the data. A registered view handed to a query, a
+/// session or a write batch is therefore shared, not duplicated. The
+/// arena is copied only when a holder first *mutates* it while it is
+/// still shared: the f-plan operators take it apart through
+/// `into_arena_parts` (`Arc::unwrap_or_clone`) and the delta mutators
+/// ([`FRep::insert`], [`FRep::delete`]) through `update_parts`
+/// (`Arc::make_mut`). A holder that owns the only handle mutates in
+/// place with no copy at all.
+///
+/// The count index (the direct-access annotations) is memoised in a
+/// cell shared together with the arena: building it through any clone
+/// makes it visible to every other clone of the same arena, so all
+/// sessions reading one snapshot build it once. Any mutation starts a fresh,
+/// empty cell — the invalidation rule is "new arena parts, new cell",
+/// with no manual bookkeeping.
 #[derive(Clone, Debug)]
 pub struct FRep {
     ftree: FTree,
-    arena: Arena,
+    arena: Arc<Arena>,
     roots: Vec<UnionId>,
-    /// Lazily built, memoised count annotations (see [`CountIndex`]).
-    /// Cloning an `FRep` (or sharing it behind an `Arc`) shares the
-    /// computed index; every structural transformation rebuilds the
-    /// representation through [`FRep::from_arena`] and therefore starts
-    /// from an empty cell — the invalidation rule is "new arena parts,
-    /// new cell", with no manual bookkeeping.
-    counts: OnceLock<Arc<CountIndex>>,
+    /// Lazily built, memoised count annotations, shared by every clone
+    /// that shares `arena`.
+    counts: Arc<OnceLock<Arc<CountIndex>>>,
 }
 
 impl FRep {
+    /// Wraps an owned arena with a fresh, empty count-index cell.
+    fn with_parts(ftree: FTree, arena: Arena, roots: Vec<UnionId>) -> Self {
+        FRep {
+            ftree,
+            arena: Arc::new(arena),
+            roots,
+            counts: Arc::default(),
+        }
+    }
+
     /// Wraps pre-built arena parts (crate-internal; operators use this).
     ///
     /// Empty root unions are re-tagged to the (possibly restructured)
@@ -919,12 +945,7 @@ impl FRep {
                 arena.set_union_node(u, rid);
             }
         }
-        FRep {
-            ftree,
-            arena,
-            roots,
-            counts: OnceLock::new(),
-        }
+        FRep::with_parts(ftree, arena, roots)
     }
 
     /// Builds a representation from externally constructed nested unions,
@@ -943,12 +964,7 @@ impl FRep {
             .into_iter()
             .map(|u| freeze_union(&mut arena, u))
             .collect();
-        let rep = FRep {
-            ftree,
-            arena,
-            roots: root_ids,
-            counts: OnceLock::new(),
-        };
+        let rep = FRep::with_parts(ftree, arena, root_ids);
         rep.check_invariants()?;
         Ok(rep)
     }
@@ -961,12 +977,7 @@ impl FRep {
             .iter()
             .map(|&r| arena.empty_union(r))
             .collect();
-        FRep {
-            ftree,
-            arena,
-            roots,
-            counts: OnceLock::new(),
-        }
+        FRep::with_parts(ftree, arena, roots)
     }
 
     /// Builds the factorisation of `rel` over `ftree` by recursive grouping.
@@ -1021,12 +1032,7 @@ impl FRep {
             .iter()
             .map(|&r| build_union_par(rel, &ftree, r, &all_rows, &col_of, threads, &mut arena))
             .collect();
-        let rep = FRep {
-            ftree,
-            arena,
-            roots,
-            counts: OnceLock::new(),
-        };
+        let rep = FRep::with_parts(ftree, arena, roots);
         debug_assert!(rep.check_invariants().is_ok());
         Ok(rep)
     }
@@ -1065,26 +1071,42 @@ impl FRep {
         self.arena.union(id)
     }
 
-    /// Decomposes into parts (crate-internal).
+    /// Decomposes into parts (crate-internal), taking ownership of the
+    /// arena: moved out when this is its only handle, copied when it is
+    /// still shared with another clone (copy-on-write point of the
+    /// operators).
     pub(crate) fn into_arena_parts(self) -> (FTree, Arena, Vec<UnionId>) {
-        (self.ftree, self.arena, self.roots)
+        (self.ftree, Arc::unwrap_or_clone(self.arena), self.roots)
     }
 
     /// Split borrow for the delta mutators ([`crate::update`]): the
-    /// f-tree read-only, the arena and root list writable. Drops any
-    /// memoised count index first — a wrapper obtained by cloning an
-    /// `Arc`-shared snapshot carries the snapshot's (possibly built)
-    /// `OnceLock`, and a mutation must never leave a pre-mutation
-    /// index behind. The snapshot itself keeps its own copy.
+    /// f-tree read-only, the arena and root list writable. The arena is
+    /// copied first if it is shared (copy-on-write point of the
+    /// mutators), and this wrapper gets a fresh, empty count-index cell
+    /// — a mutation must never leave a pre-mutation index behind, while
+    /// every other clone keeps the cell it shares with the old arena.
     pub(crate) fn update_parts(&mut self) -> (&FTree, &mut Arena, &mut Vec<UnionId>) {
-        self.counts.take();
-        (&self.ftree, &mut self.arena, &mut self.roots)
+        self.counts = Arc::default();
+        (&self.ftree, Arc::make_mut(&mut self.arena), &mut self.roots)
     }
 
     /// True when a count index is currently memoised (test hook for the
     /// staleness-invariant suite).
     pub fn has_count_index(&self) -> bool {
         self.counts.get().is_some()
+    }
+
+    /// The memoised count index, if one has been built: a test hook for
+    /// the sharing suite, which compares the pointer across clones and
+    /// snapshots (`Arc::ptr_eq`).
+    pub fn count_index_handle(&self) -> Option<Arc<impl std::fmt::Debug>> {
+        self.counts.get().cloned()
+    }
+
+    /// True when this representation shares its arena with another
+    /// live handle, so the next mutation copies it.
+    pub(crate) fn shares_arena(&self) -> bool {
+        Arc::strong_count(&self.arena) > 1
     }
 
     /// Shared borrow of the arena (crate-internal; read-only walks).
@@ -1151,9 +1173,8 @@ impl FRep {
     /// pipeline executor performs per plan, in place of the legacy
     /// one-copy-per-operator transforms.
     pub fn compact(self) -> FRep {
-        let (tree, arena, roots) = self.into_arena_parts();
-        let (arena, roots) = arena.compact(&roots);
-        FRep::from_arena(tree, arena, roots)
+        let (arena, roots) = self.arena.compact(&self.roots);
+        FRep::from_arena(self.ftree, arena, roots)
     }
 
     /// Physical arena footprint in bytes (capacity-aware: counts table

@@ -177,6 +177,33 @@ pub struct ExecStats {
     pub copies_avoided: u64,
     /// Whether the final per-plan compaction pass ran.
     pub compacted: bool,
+    /// Bytes copied to take ownership of a shared input arena
+    /// (size-based, like `intermediate_bytes`): the copy-on-write cost
+    /// a plan pays at its first mutation of a registered view (see the
+    /// cost model on [`FRep`]). `0` when the plan only reads its input
+    /// (no operators, or pure tree edits) or owns it outright.
+    pub input_copy_bytes: usize,
+}
+
+/// What the first mutation of `rep` copies: its arena's size when the
+/// arena is shared with another handle, else nothing.
+fn shared_input_bytes(rep: &FRep) -> usize {
+    if rep.shares_arena() {
+        rep.data_bytes()
+    } else {
+        0
+    }
+}
+
+/// `shared_bytes` (from [`shared_input_bytes`] on the plan input) if
+/// the plan copied the input arena: a result that no longer shares its
+/// arena has taken ownership of it. Checked before any compaction.
+fn copied_input_bytes(shared_bytes: usize, out: &FRep) -> usize {
+    if out.shares_arena() {
+        0
+    } else {
+        shared_bytes
+    }
 }
 
 /// Applies one operator via its in-place rewrite.
@@ -221,6 +248,7 @@ pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
         return Ok((rep, stats));
     }
     let counter_base = rep.stats_counter_base();
+    let shared_bytes = shared_input_bytes(&rep);
     let mut rep = rep;
     let mut bytes_before = rep.data_bytes();
     for stage in &stages {
@@ -258,6 +286,7 @@ pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
         stats.intermediate_bytes += bytes_after.saturating_sub(bytes_before);
         bytes_before = bytes_after;
     }
+    stats.input_copy_bytes = copied_input_bytes(shared_bytes, &rep);
     if rep.garbage_dominated() {
         // The one full arena pass of the plan: shed the superseded
         // fragments while preserving sharing. Plans whose arena is
@@ -282,6 +311,7 @@ pub fn execute_per_op(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
         stages: plan.len(),
         ..ExecStats::default()
     };
+    let shared_bytes = shared_input_bytes(&rep);
     let mut rep = rep;
     for op in &plan.ops {
         // Pure tree edits materialise nothing; every other legacy
@@ -302,6 +332,7 @@ pub fn execute_per_op(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
             stats.intermediate_bytes += rep.data_bytes();
         }
     }
+    stats.input_copy_bytes = copied_input_bytes(shared_bytes, &rep);
     Ok((rep, stats))
 }
 

@@ -19,9 +19,12 @@
 //! * everything off the spine — the overwhelming majority of the arena —
 //!   is shared untouched, and `Arena::note_shared` accounts the
 //!   avoided copies just like the in-place f-plan operators do;
+//! * the first edit of a wrapper whose arena is still shared copies it
+//!   (`FRep::update_parts`, copy-on-write); later edits of the same
+//!   wrapper run in place;
 //! * the memoised count annotations are dropped on the mutated wrapper
-//!   only (`FRep::update_parts`); an `Arc`-shared snapshot the wrapper
-//!   was cloned from keeps serving its own index.
+//!   only; a snapshot the wrapper was cloned from keeps its arena and
+//!   keeps serving its own index.
 //!
 //! Because the edit mimics `from_relation`'s grouping step by step, the
 //! mutated representation is **structurally identical** (same unions,
@@ -113,11 +116,17 @@ impl FRep {
     /// it was new, `false` if already represented (set semantics).
     ///
     /// Cost is O(depth · (log fanout + spine width)): one rewritten
-    /// union per level, every untouched fragment shared by id. Any
-    /// memoised count index on *this wrapper* is dropped; snapshots
-    /// this wrapper was cloned from are untouched (copy-on-write).
+    /// union per level, every untouched fragment shared by id — plus one
+    /// copy of the arena when this wrapper still shares it with a clone
+    /// (copy-on-write; a no-op insert never copies). Any memoised count
+    /// index on *this wrapper* is dropped; snapshots this wrapper was
+    /// cloned from are untouched.
     pub fn insert(&mut self, row: &[Value]) -> Result<bool> {
         check_arity(self, row)?;
+        if self.contains(row)? {
+            // A no-op must not pay the copy-on-write of a shared arena.
+            return Ok(false);
+        }
         let cols = col_map(self)?;
         let (tree, arena, roots) = self.update_parts();
         let mut changed = false;

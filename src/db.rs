@@ -7,15 +7,19 @@
 //! follows the paper's build-once-query-many premise:
 //!
 //! * a [`Db`] owns one **template engine** whose registered inputs
-//!   (factorised views and flat relations) live behind `Arc` — the flat
-//!   arena of PR 3 makes an immutable snapshot four vector handles;
+//!   (factorised views and flat relations) live behind `Arc`, and a
+//!   view's arena is itself `Arc`-shared (copy-on-write, see
+//!   [`FRep`]'s cost model), so an immutable snapshot is a handle;
 //! * [`Db::session`] clones the template under a short lock: the clone
 //!   copies the catalog and the name tables but **shares** every arena
 //!   and relation buffer. A session is therefore a consistent snapshot —
 //!   registrations that happen later are invisible to it;
 //! * many sessions on many threads read the same arenas concurrently;
 //!   results are byte-identical to the single-threaded library run
-//!   (pinned by `tests/shared_snapshot.rs` and the oracle sweep);
+//!   (pinned by `tests/shared_snapshot.rs` and the oracle sweep). A
+//!   query that only reads a view (no f-plan operators) runs on the
+//!   registered arena in place, and the view's count index is built
+//!   once per snapshot and reused by every session on that epoch;
 //! * [`Db`] tracks an **epoch** bumped on every registration, so a
 //!   long-lived worker can cheaply detect staleness and re-snapshot.
 //!
@@ -47,7 +51,7 @@ use crate::core::engine::{FdbEngine, OrderStrategy, RunOptions};
 use crate::core::error::FdbError;
 use crate::core::{ExecStats, FRep, OrderRunStats, Result};
 use crate::query::Statement;
-use crate::relational::{Catalog, Predicate, Relation, Value};
+use crate::relational::{Catalog, CmpOp, Predicate, Relation, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -156,14 +160,15 @@ impl Db {
     // -----------------------------------------------------------------
     //
     // A write never touches a published input in place. Under the
-    // template lock it clones the target (for a factorised view the
-    // clone is a flat-table memcpy; the delta mutators then rewrite
-    // only the spine, sharing every untouched fragment — see
-    // `fdb_core::update`), re-registers the mutated copy, and bumps the
-    // epoch once. Sessions cut before the write keep their own `Arc`s
-    // to the old snapshot and are unaffected; the serving layer's plan
-    // cache is keyed by epoch, so the bump retires every cached
-    // response built over the pre-write state.
+    // template lock it takes a handle on the target; for a factorised
+    // view the arena is copied at the first edit that changes a row
+    // (copy-on-write), and the delta mutators then rewrite only the
+    // spine, sharing every untouched fragment — see `fdb_core::update`.
+    // The mutated copy is re-registered and the epoch bumped once.
+    // Sessions cut before the write keep their own `Arc`s to the old
+    // snapshot and are unaffected; the serving layer's plan cache is
+    // keyed by epoch, so the bump retires every cached response built
+    // over the pre-write state.
 
     /// Inserts `rows` (laid out per the table's registered schema) into
     /// a registered view or relation; returns how many were new (set
@@ -202,9 +207,9 @@ impl Db {
     }
 
     /// Starts a write batch: queued operations apply atomically on
-    /// [`WriteBatch::commit`] — one template lock, one copy-on-write
-    /// clone per touched input, one epoch bump. Readers see either none
-    /// or all of the batch.
+    /// [`WriteBatch::commit`] — one template lock, at most one
+    /// copy-on-write copy per touched input, one epoch bump. Readers
+    /// see either none or all of the batch.
     pub fn begin_batch(&self) -> WriteBatch<'_> {
         WriteBatch {
             db: self,
@@ -301,18 +306,21 @@ impl WriteBatch<'_> {
     }
 
     /// Applies the queued writes atomically: one template lock, one
-    /// copy-on-write clone per touched input (re-registered only on
-    /// success of the whole batch), one epoch bump — and none at all
-    /// when no row actually changed, keeping cached responses valid
-    /// across no-op writes.
+    /// epoch bump — and none at all when no row actually changed,
+    /// keeping cached responses valid across no-op writes. Each touched
+    /// input is re-registered only on success of the whole batch. A
+    /// view is copied once, at the batch's first edit that changes it
+    /// (copy-on-write); a batch of no-ops copies nothing.
     pub fn commit(self) -> Result<WriteReport> {
         let mut report = WriteReport::default();
         if self.ops.is_empty() {
             return Ok(report);
         }
         let mut engine = self.db.lock();
-        // Copy-on-write working set: each touched input is cloned once
-        // per batch however many ops hit it.
+        // Copy-on-write working set: one handle per touched input
+        // however many ops hit it. A view handle shares the published
+        // arena until its first changing edit copies it; a relation is
+        // cloned here.
         let mut views: HashMap<String, FRep> = HashMap::new();
         let mut rels: HashMap<String, Relation> = HashMap::new();
         for (table, op) in &self.ops {
@@ -390,6 +398,15 @@ fn apply_to_view(rep: &mut FRep, op: &WriteOp, report: &mut WriteReport) -> Resu
         WriteOp::DeleteWhere(preds) => {
             let schema = rep.schema();
             check_predicates(preds, &schema)?;
+            if let Some(row) = full_key(preds, &schema) {
+                // One point delete instead of a scan: predicate `=` and
+                // the delete's search both compare with `Value::cmp`,
+                // so they match the same (at most one) row.
+                if rep.delete(&row)? {
+                    report.deleted += 1;
+                }
+                return Ok(());
+            }
             // Collect matches first: the delta delete rewrites the
             // spine, so mutation under enumeration is off the table.
             let mut victims: Vec<Vec<Value>> = Vec::new();
@@ -406,6 +423,25 @@ fn apply_to_view(rep: &mut FRep, op: &WriteOp, report: &mut WriteReport) -> Resu
         }
     }
     Ok(())
+}
+
+/// The row a conjunction pins down when it is exactly one `attr =
+/// const` per schema attribute, laid out per `schema`; `None` for any
+/// other shape (a missing, repeated or non-equality conjunct, or an
+/// attribute-to-attribute equality), which the scan path handles.
+fn full_key(preds: &[Predicate], schema: &crate::relational::Schema) -> Option<Vec<Value>> {
+    if preds.len() != schema.arity() {
+        return None;
+    }
+    let mut row: Vec<Option<Value>> = vec![None; schema.arity()];
+    for p in preds {
+        let Predicate::AttrCmp(a, CmpOp::Eq, v) = p else {
+            return None;
+        };
+        row[schema.position(*a)?] = Some(v.clone());
+    }
+    // As many conjuncts as attributes: a repeated one leaves a gap.
+    row.into_iter().collect()
 }
 
 fn apply_to_relation(rel: &mut Relation, op: &WriteOp, report: &mut WriteReport) -> Result<()> {

@@ -331,3 +331,62 @@ fn dangling_tuples_database() {
         pair.assert_all_agree(sql);
     }
 }
+
+/// Copy-on-write isolation: the corpus over the chain relations
+/// registered as *views* (path tries) of one `Db`. Every plan then
+/// rewrites an input whose arena it shares with the registered view;
+/// the answers must still match the relational engine, and every view
+/// must come out structurally identical to an independent build.
+#[test]
+fn corpus_over_shared_views_leaves_every_view_unchanged() {
+    use fdb::core::engine::{ExecutorMode, FdbEngine, RunOptions};
+    use fdb::relational::engine::PlanMode;
+    use fdb::{Db, FRep, FTree};
+    let r: Vec<(i64, i64)> = (0..30).map(|i| (i % 7, i % 5)).collect();
+    let s: Vec<(i64, i64)> = (0..30).map(|j| (j % 5, j % 6)).collect();
+    let t: Vec<(i64, i64)> = (0..20).map(|k| (k % 6, k % 4)).collect();
+    let mut pair = chain_db(&r, &s, &t);
+    let mut engine = FdbEngine::new(pair.fdb.catalog.clone());
+    let mut fresh = Vec::new();
+    for name in ["R", "S", "T"] {
+        let rel = pair.fdb.relation_arc(name).unwrap();
+        let tree = FTree::path(rel.schema().attrs());
+        engine.register_view(name, FRep::from_relation(&rel, tree.clone()).unwrap());
+        fresh.push((name, FRep::from_relation(&rel, tree).unwrap()));
+    }
+    let db = Db::from_engine(engine);
+    let rows = |rel: &Relation| -> Vec<Vec<Value>> { rel.rows().map(<[Value]>::to_vec).collect() };
+    for sql in corpus() {
+        let schemas = pair.fdb.schemas();
+        let task = fdb::parse(sql, &mut pair.fdb.catalog, &schemas)
+            .unwrap()
+            .to_task();
+        pair.rdb_sort.catalog = pair.fdb.catalog.clone();
+        let want = pair
+            .rdb_sort
+            .run(&task, PlanMode::Naive)
+            .unwrap()
+            .canonical();
+        for threads in common::thread_sweep() {
+            for executor in [ExecutorMode::Staged, ExecutorMode::PerOp] {
+                let opts = RunOptions::new().threads(threads).executor(executor);
+                let got = db
+                    .session()
+                    .query_with(sql, opts)
+                    .unwrap_or_else(|e| panic!("`{sql}` over views: {e}"))
+                    .rows;
+                assert_eq!(
+                    rows(&got.canonical()),
+                    rows(&want),
+                    "`{sql}` over views ({executor:?}, threads={threads})"
+                );
+            }
+        }
+        let mut session = db.session();
+        for (name, built) in &fresh {
+            let view = session.engine_mut().view(name).unwrap();
+            assert!(view.same_data(built), "`{sql}` changed view {name}");
+            assert_eq!(view.stats(), built.stats(), "`{sql}` changed view {name}");
+        }
+    }
+}

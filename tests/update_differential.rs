@@ -327,3 +327,163 @@ fn memoised_count_annotations_stay_fresh_across_writes() {
         );
     }
 }
+
+/// Runs one `DELETE … WHERE preds` against the table in `db` and the
+/// relational mirror, then checks the two agree: the same deleted
+/// count, an epoch bump iff a row went, and the same rows afterwards.
+fn delete_matches_mirror(db: &Db, mirror: &mut Relation, table: &str, preds: Vec<Predicate>) {
+    let schema = mirror.schema().clone();
+    let want = mirror.delete_where(|row| preds.iter().all(|p| p.eval(&schema, row)));
+    let epoch = db.epoch();
+    let got = db.delete_where(table, preds.clone()).unwrap();
+    assert_eq!(got, want, "deleted count for {preds:?}");
+    assert_eq!(
+        db.epoch(),
+        epoch + u64::from(got > 0),
+        "epoch for {preds:?}"
+    );
+    let rows = db
+        .session()
+        .query(&format!("SELECT a, b, c FROM {table} ORDER BY a, b, c"))
+        .unwrap()
+        .rows;
+    assert_eq!(as_rows(&rows), sorted_rows(mirror), "rows after {preds:?}");
+}
+
+fn eq(a: fdb::relational::AttrId, v: Value) -> Predicate {
+    Predicate::AttrCmp(a, CmpOp::Eq, v)
+}
+
+/// Full-key `DELETE … WHERE` (one `attr = const` per attribute) takes a
+/// point delete on views and a scan on relations; every other shape
+/// scans. Both must agree with the relational mirror, on a path-trie
+/// view and on a flat relation alike.
+#[test]
+fn full_key_deletes_match_the_mirror_on_views_and_relations() {
+    let fx = fixture(17, 30);
+    let (a, b, c) = {
+        let cat = fx.db.catalog();
+        let id = |n| cat.lookup(n).unwrap();
+        (id("a"), id("b"), id("c"))
+    };
+    // The same data as a flat relation in a Db of its own.
+    let mut engine = FdbEngine::new(fx.db.catalog().clone());
+    engine.register_relation("F", fx.mirror.clone());
+    let flat = Db::from_engine(engine);
+
+    for (db, table) in [(&fx.db, "R"), (&flat, "F")] {
+        let mut mirror = fx.mirror.clone();
+        let present = mirror.row(3).to_vec();
+        let other = mirror.row(5).to_vec();
+        let nulls = vec![Value::Null, Value::Int(1), Value::Null];
+        db.insert(table, [nulls.clone()]).unwrap();
+        mirror.insert(&nulls);
+        let key = |row: &[Value]| {
+            vec![
+                eq(c, row[2].clone()),
+                eq(a, row[0].clone()),
+                eq(b, row[1].clone()),
+            ]
+        };
+        let int = |i| Value::Int(i);
+        let cases: Vec<Vec<Predicate>> = vec![
+            // A present row, conjuncts in any order.
+            key(&present),
+            // The same row again: now absent.
+            key(&present),
+            // NULL constants: `=` matches a stored NULL.
+            key(&nulls),
+            // Int vs Float: `1.0` is not the Int `1`.
+            vec![
+                eq(a, Value::Float(present[0].as_int().unwrap() as f64)),
+                eq(b, present[1].clone()),
+                eq(c, present[2].clone()),
+            ],
+            // A repeated attribute with conflicting constants.
+            vec![eq(a, int(1)), eq(a, int(2))],
+            vec![eq(a, int(1)), eq(a, int(2)), eq(b, int(3))],
+            // Every attribute pinned, but one twice and conflicting.
+            vec![
+                eq(a, int(99)),
+                eq(a, other[0].clone()),
+                eq(b, other[1].clone()),
+                eq(c, other[2].clone()),
+            ],
+            // A repeated attribute with agreeing constants (scan path).
+            vec![eq(a, int(2)), eq(a, int(2)), eq(b, int(3))],
+            // A non-equality conjunct in a full-width conjunction.
+            vec![
+                eq(a, int(4)),
+                Predicate::AttrCmp(b, CmpOp::Le, int(7)),
+                eq(c, int(5)),
+            ],
+        ];
+        for preds in cases {
+            delete_matches_mirror(db, &mut mirror, table, preds);
+        }
+        // And through SQL, which is how the server issues it.
+        let row = mirror.row(0).to_vec();
+        let sql = format!(
+            "DELETE FROM {table} WHERE a = {} AND b = {} AND c = {}",
+            row[0], row[1], row[2]
+        );
+        let epoch = db.epoch();
+        assert_eq!(db.execute(&sql).unwrap().deleted, 1);
+        assert_eq!(db.epoch(), epoch + 1);
+        mirror.delete_row(&row);
+        delete_matches_mirror(db, &mut mirror, table, key(&row));
+    }
+}
+
+/// Point deletes on a branching view: a present singleton group goes
+/// exactly as in the mirror, and an absent row (whose every prefix is
+/// present) reports 0 deleted and leaves the epoch alone.
+#[test]
+fn full_key_delete_on_a_branching_view() {
+    let mut catalog = Catalog::new();
+    let a = catalog.intern("a");
+    let b = catalog.intern("b");
+    let c = catalog.intern("c");
+    // a → {b, c}: every a-group is the product of its b's and c's.
+    let mut tree = FTree::new();
+    let na = tree.add_node(fdb::core::NodeLabel::Atomic(vec![a]), None);
+    tree.add_node(fdb::core::NodeLabel::Atomic(vec![b]), Some(na));
+    tree.add_node(fdb::core::NodeLabel::Atomic(vec![c]), Some(na));
+    let rows = [
+        (1, 10, 100),
+        (1, 10, 101),
+        (1, 11, 100),
+        (1, 11, 101),
+        (2, 20, 200),
+    ];
+    let mut mirror = Relation::from_rows(
+        Schema::new(vec![a, b, c]),
+        rows.iter()
+            .map(|&(x, y, z)| vec![Value::Int(x), Value::Int(y), Value::Int(z)]),
+    );
+    let mut engine = FdbEngine::new(catalog);
+    engine.register_view("R", FRep::from_relation(&mirror, tree).unwrap());
+    let db = Db::from_engine(engine);
+    let int = |i| Value::Int(i);
+
+    // Absent: a=1, b=10 and c=102 are each absent only in combination.
+    delete_matches_mirror(
+        &db,
+        &mut mirror,
+        "R",
+        vec![eq(a, int(1)), eq(b, int(10)), eq(c, int(102))],
+    );
+    delete_matches_mirror(
+        &db,
+        &mut mirror,
+        "R",
+        vec![eq(a, int(3)), eq(b, int(10)), eq(c, int(100))],
+    );
+    // Present, and alone in its group.
+    delete_matches_mirror(
+        &db,
+        &mut mirror,
+        "R",
+        vec![eq(a, int(2)), eq(b, int(20)), eq(c, int(200))],
+    );
+}
